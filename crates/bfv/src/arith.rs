@@ -205,11 +205,17 @@ impl Modulus {
         }
     }
 
-    /// Reduces a signed integer into `[0, q)`.
+    /// Reduces a signed integer into `[0, q)`. Small magnitudes (noise,
+    /// trits, centered residues) skip the division entirely.
     #[inline]
     pub fn from_signed(&self, a: i64) -> u64 {
-        let q = self.value as i128;
-        (a as i128).rem_euclid(q) as u64
+        let m = a.unsigned_abs();
+        let r = if m < self.value { m } else { m % self.value };
+        if a < 0 && r != 0 {
+            self.value - r
+        } else {
+            r
+        }
     }
 }
 
@@ -793,6 +799,29 @@ mod tests {
         assert_eq!(q.from_signed(-1), 16);
         assert_eq!(q.from_signed(-17), 0);
         assert_eq!(q.from_signed(35), 1);
+        // Pin the division-free fast path against the Euclidean remainder
+        // across both magnitude regimes and the i64 extremes.
+        let big = Modulus::new(0x0fff_ffff_ff00_0001).unwrap();
+        for m in [q, big] {
+            let v = m.value() as i64;
+            for a in [
+                0,
+                1,
+                -1,
+                v - 1,
+                -(v - 1),
+                v,
+                -v,
+                v + 1,
+                -v - 1,
+                3 * v + 5,
+                i64::MAX,
+                i64::MIN,
+            ] {
+                let want = (a as i128).rem_euclid(m.value() as i128) as u64;
+                assert_eq!(m.from_signed(a), want, "q={} a={a}", m.value());
+            }
+        }
     }
 
     #[test]

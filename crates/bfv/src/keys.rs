@@ -12,13 +12,30 @@
 //! Cheetah performance model charges per `HE_Rotate` (§IV-A). For a
 //! single limb `q̂_0 = 1` and everything degenerates bit-for-bit to the
 //! historical composed `A^d·s(x^g)` key shape.
+//!
+//! **Determinism contract.** Key sets are generated in parallel, and every
+//! Galois key is built from its own derived stream: the generator forks
+//! one stream per *new* distinct element from its main stream
+//! ([`BfvRng::fork`], a full-width 256-bit seed, never a guessable 64-bit
+//! one, since the stream draws secret noise), serially and in request
+//! order, and the key is a pure function of `(params, secret, key stream,
+//! element)`. The output is therefore
+//! bit-identical for any worker count, a run of [`KeyGenerator::galois_key`]
+//! calls equals one batch over the same elements, and extending a set
+//! equals generating the union in one call.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
 
+use crate::arith::ShoupPrecomp;
 use crate::error::{Error, Result};
 use crate::params::BfvParams;
 use crate::poly::Representation;
-use crate::rns::RnsPoly;
+use crate::rns::{ModulusChain, RnsPoly};
 use crate::sampling::BfvRng;
 
 /// The RLWE secret key: a ternary polynomial lifted into every limb plane,
@@ -309,7 +326,11 @@ impl KeyGenerator {
     /// Generates the Galois key for element `g` with the parameter set's
     /// ciphertext decomposition base: one RLWE pair per (limb, digit) of
     /// the RNS-native decomposition, pair `(i, d)` encrypting
-    /// `A^d·q̂_i·s(x^g)`.
+    /// `A^d·q̂_i·s(x^g)` (hybrid parameters: one pair per limb over the
+    /// extended chain `[q_0 … q_{l-1}, P]`, encrypting `P·q̂_i·s(x^g)`).
+    /// Forks the key's stream exactly as a one-element batch would, so a
+    /// sequence of calls matches one
+    /// [`KeyGenerator::galois_keys_for_steps`] over the same elements.
     ///
     /// # Errors
     ///
@@ -318,114 +339,53 @@ impl KeyGenerator {
     /// cyclotomic); propagates arithmetic errors otherwise.
     pub fn galois_key(&mut self, g: u64) -> Result<GaloisKey> {
         check_galois_element(self.params.degree(), g)?;
-        if self.params.has_special() {
-            return self.galois_key_hybrid(g);
-        }
-        let chain = self.params.chain().clone();
-        let a_base = self.params.a_dcmp();
-        let limbs = chain.limbs();
-
-        // s(x^g) in evaluation form, via the NTT-domain permutation (one
-        // permutation table drives every limb plane).
-        let perm = chain.table(0).galois_permutation(g);
-        let mut s_g = RnsPoly::zero(&chain, Representation::Eval);
-        s_g.permute_from(self.sk.poly(), &perm);
-
-        let mut pairs = Vec::with_capacity(self.params.l_ct());
-        for i in 0..limbs {
-            // scale[k] = A^d·q̂_i mod q_k, advanced per digit. For one limb
-            // q̂_0 = 1, so this replays the historical A^d progression (and
-            // the RNG stream order is unchanged: one sample pair per digit).
-            let mut scale: Vec<u64> = (0..limbs).map(|k| chain.crt().qhat_mod(i, k)).collect();
-            let levels_i = chain.limb_decomposition_levels(a_base, i);
-            for digit in 0..levels_i {
-                let a_d = self.rng.uniform_rns(&chain, Representation::Eval);
-                let mut e_d = self.rng.noise_rns(&chain);
-                e_d.to_eval(&chain);
-                // k0 = -(a_d*s + e_d) + A^digit · q̂_i · s(x^g)
-                let mut k0 = a_d.clone();
-                k0.mul_assign_pointwise(self.sk.poly(), &chain)?;
-                k0.add_assign(&e_d, &chain)?;
-                k0.negate(&chain);
-                let mut scaled_sg = s_g.clone();
-                for (k, &sc) in scale.iter().enumerate() {
-                    crate::poly::mul_scalar_slice(scaled_sg.limb_mut(k), sc, chain.modulus(k));
-                }
-                k0.add_assign(&scaled_sg, &chain)?;
-                pairs.push((k0, a_d));
-                if digit + 1 < levels_i {
-                    for (k, sc) in scale.iter_mut().enumerate() {
-                        let q = chain.modulus(k);
-                        *sc = q.mul_mod(*sc, q.reduce(a_base));
-                    }
-                }
-            }
-        }
-        Ok(GaloisKey {
-            element: g,
-            pairs,
-            perm,
-        })
+        let mut rng = self.rng.fork();
+        KeyRecipe::new(self).build(g, &mut rng)
     }
 
-    /// Hybrid (special-prime) Galois key: one RLWE pair per limb over the
-    /// *extended* key-switch chain `[q_0 … q_{l-1}, P]`, pair `i`
-    /// encrypting `P·q̂_i·s(x^g)` — which is `[P·q̂_i]_{q_k}·s_g` on every
-    /// data plane and exactly `0` on the special plane (`P` divides the
-    /// signal). The full-chain `q̂_i` keeps the level-prefix property:
-    /// a level-`ℓ` switch consumes pairs `i < live` on planes
-    /// `[0..live) ∪ {special}`, so one level-0 key set serves every level.
+    /// The one Galois key generator every entry point routes through.
     ///
-    /// The secret over the extended chain is the *same* ternary
-    /// polynomial: its coefficient values are read off the data chain and
-    /// re-lifted, so hybrid parameters sharing a data chain and seed with
-    /// a digit twin produce identical secrets and encryptions.
-    fn galois_key_hybrid(&mut self, g: u64) -> Result<GaloisKey> {
-        let data = self.params.chain().clone();
-        let ks = self.params.ks_chain_at(0).clone();
-        let limbs = data.limbs();
-        let p_special = ks.modulus(limbs).value();
-
-        let perm = data.table(0).galois_permutation(g);
-        let s_ks = self.secret_on(&ks);
-        let mut s_g = RnsPoly::zero(&ks, Representation::Eval);
-        s_g.permute_from(&s_ks, &perm);
-
-        let mut pairs = Vec::with_capacity(limbs);
-        for i in 0..limbs {
-            let a_i = self.rng.uniform_rns(&ks, Representation::Eval);
-            let mut e_i = self.rng.noise_rns(&ks);
-            e_i.to_eval(&ks);
-            // k0 = -(a_i·s + e_i) + P·q̂_i·s(x^g)
-            let mut k0 = a_i.clone();
-            k0.mul_assign_pointwise(&s_ks, &ks)?;
-            k0.add_assign(&e_i, &ks)?;
-            k0.negate(&ks);
-            let mut scaled_sg = s_g.clone();
-            for k in 0..=limbs {
-                let q = ks.modulus(k);
-                let sc = if k < limbs {
-                    q.mul_mod(q.reduce(p_special), data.crt().qhat_mod(i, k))
-                } else {
-                    0
-                };
-                crate::poly::mul_scalar_slice(scaled_sg.limb_mut(k), sc, q);
-            }
-            k0.add_assign(&scaled_sg, &ks)?;
-            pairs.push((k0, a_i));
+    /// Validates every element first, then walks them in order, skipping
+    /// those already in `keys` or earlier in the list, and forks one key
+    /// stream per new element from the main stream. The keys are then
+    /// built from their own streams by up to `threads` workers (see
+    /// [`KeyRecipe::build_all`]); each key depends only on the
+    /// parameters, its stream and its element, so the set is
+    /// bit-identical for every thread count. Nothing is inserted unless
+    /// every key builds; the error returned is the first in element
+    /// order.
+    fn generate_into(
+        &mut self,
+        keys: &mut GaloisKeys,
+        elements: &[u64],
+        threads: usize,
+    ) -> Result<()> {
+        let n = self.params.degree();
+        for &g in elements {
+            check_galois_element(n, g)?;
         }
-        Ok(GaloisKey {
-            element: g,
-            pairs,
-            perm,
-        })
+        let mut jobs: Vec<(u64, BfvRng)> = Vec::new();
+        for &g in elements {
+            if !keys.contains(g) && jobs.iter().all(|(e, _)| *e != g) {
+                jobs.push((g, self.rng.fork()));
+            }
+        }
+        if jobs.is_empty() {
+            return Ok(());
+        }
+        for key in KeyRecipe::new(self).build_all(jobs, threads)? {
+            keys.insert(key);
+        }
+        Ok(())
     }
 
     /// The secret key's ternary coefficients re-lifted onto `chain`
     /// (evaluation form): limb plane 0 of the data chain is decoded back
     /// to `{−1, 0, 1}` and CRT-lifted, extending `s` to the special prime
-    /// without touching the RNG stream.
-    fn secret_on(&self, chain: &crate::rns::ModulusChain) -> RnsPoly {
+    /// without touching the RNG stream. Hybrid parameters sharing a data
+    /// chain and seed with a digit twin therefore hold the *same* secret
+    /// and produce identical encryptions; only key material diverges.
+    fn secret_on(&self, chain: &ModulusChain) -> RnsPoly {
         let data = self.params.chain();
         let mut s = self.sk.poly().clone();
         s.to_coeff(data);
@@ -464,20 +424,16 @@ impl KeyGenerator {
         2 * self.params.degree() as u64 - 1
     }
 
-    /// Generates keys for a set of row-rotation steps.
+    /// Generates keys for a set of row-rotation steps (one key per
+    /// distinct Galois element).
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidRotation`] for any invalid step.
     pub fn galois_keys_for_steps(&mut self, steps: &[i64]) -> Result<GaloisKeys> {
-        let mut out = GaloisKeys::default();
-        for &s in steps {
-            let g = self.element_for_step(s)?;
-            if !out.contains(g) {
-                out.insert(self.galois_key(g)?);
-            }
-        }
-        Ok(out)
+        let mut keys = GaloisKeys::default();
+        self.extend_galois_keys(&mut keys, steps)?;
+        Ok(keys)
     }
 
     /// Generates keys for all power-of-two rotations (both directions) plus
@@ -488,33 +444,262 @@ impl KeyGenerator {
     /// Propagates key-generation errors.
     pub fn galois_keys_power_of_two(&mut self) -> Result<GaloisKeys> {
         let row = self.params.row_size() as i64;
-        let mut steps = Vec::new();
+        let mut elements = Vec::new();
         let mut p = 1i64;
         while p < row {
-            steps.push(p);
-            steps.push(-p);
+            elements.push(self.element_for_step(p)?);
+            elements.push(self.element_for_step(-p)?);
             p <<= 1;
         }
-        let mut keys = self.galois_keys_for_steps(&steps)?;
-        let swap = self.element_for_row_swap();
-        keys.insert(self.galois_key(swap)?);
+        elements.push(self.element_for_row_swap());
+        let mut keys = GaloisKeys::default();
+        self.generate_into(&mut keys, &elements, worker_threads())?;
         Ok(keys)
     }
 
-    /// Extends an existing key set with additional rotation steps.
+    /// Extends an existing key set with additional rotation steps. Keys
+    /// already present are kept and draw nothing, so extending a set
+    /// yields the same keys as generating the union in one call.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidRotation`] for any invalid step.
+    /// Returns [`Error::InvalidRotation`] for any invalid step (the set is
+    /// then left unchanged).
     pub fn extend_galois_keys(&mut self, keys: &mut GaloisKeys, steps: &[i64]) -> Result<()> {
-        for &s in steps {
-            let g = self.element_for_step(s)?;
-            if !keys.contains(g) {
-                keys.insert(self.galois_key(g)?);
+        let elements = steps
+            .iter()
+            .map(|&s| self.element_for_step(s))
+            .collect::<Result<Vec<_>>>()?;
+        self.generate_into(keys, &elements, worker_threads())
+    }
+}
+
+/// Worker count for key-set generation: every available core.
+fn worker_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// What every Galois key of one key set shares, built once per batch and
+/// read by every worker: the key-switch chain, the secret over it, and
+/// each pair's per-plane scale as a Shoup constant.
+struct KeyRecipe<'a> {
+    chain: &'a ModulusChain,
+    secret: Cow<'a, RnsPoly>,
+    /// `scales[pair][plane]`: the signal factor pair `pair` encrypts.
+    scales: Vec<Vec<ShoupPrecomp>>,
+}
+
+impl<'a> KeyRecipe<'a> {
+    /// Digit parameters key over the data chain with the secret as is;
+    /// pair `(i, d)` (limb-major) scales by `A^d·q̂_i`. For one limb
+    /// `q̂_0 = 1`, which replays the historical `A^d` progression.
+    ///
+    /// Hybrid (special-prime) parameters key over the *extended* chain
+    /// `[q_0 … q_{l-1}, P]` with one pair per limb, pair `i` scaling by
+    /// `P·q̂_i` — which is `[P·q̂_i]_{q_k}` on every data plane and exactly
+    /// `0` on the special plane (`P` divides the signal). The full-chain
+    /// `q̂_i` keeps the level-prefix property: a level-`ℓ` switch consumes
+    /// pairs `i < live` on planes `[0..live) ∪ {special}`, so one level-0
+    /// key set serves every level. The secret is lifted onto the extended
+    /// chain once here ([`KeyGenerator::secret_on`]) and shared by every
+    /// key.
+    fn new(kg: &'a KeyGenerator) -> Self {
+        let params = &kg.params;
+        let data = params.chain();
+        let limbs = data.limbs();
+        let shoup = |scale: &[u64], chain: &ModulusChain| -> Vec<ShoupPrecomp> {
+            scale
+                .iter()
+                .zip(chain.moduli())
+                .map(|(&sc, q)| ShoupPrecomp::new(sc, q))
+                .collect()
+        };
+        if params.has_special() {
+            let ks = params.ks_chain_at(0);
+            let p_special = ks.modulus(limbs).value();
+            let scales = (0..limbs)
+                .map(|i| {
+                    let mut scale: Vec<u64> = (0..limbs)
+                        .map(|k| {
+                            let q = ks.modulus(k);
+                            q.mul_mod(q.reduce(p_special), data.crt().qhat_mod(i, k))
+                        })
+                        .collect();
+                    scale.push(0);
+                    shoup(&scale, ks)
+                })
+                .collect();
+            return Self {
+                chain: ks,
+                secret: Cow::Owned(kg.secret_on(ks)),
+                scales,
+            };
+        }
+        let a_base = params.a_dcmp();
+        let mut scales = Vec::with_capacity(params.l_ct());
+        for i in 0..limbs {
+            let mut scale: Vec<u64> = (0..limbs).map(|k| data.crt().qhat_mod(i, k)).collect();
+            for _ in 0..data.limb_decomposition_levels(a_base, i) {
+                scales.push(shoup(&scale, data));
+                for (sc, q) in scale.iter_mut().zip(data.moduli()) {
+                    *sc = q.mul_mod(*sc, q.reduce(a_base));
+                }
             }
         }
-        Ok(())
+        Self {
+            chain: data,
+            secret: Cow::Borrowed(kg.sk.poly()),
+            scales,
+        }
     }
+
+    /// Builds the keys for `(element, key stream)` jobs, in job order, in
+    /// two phases that each hand out small tasks through
+    /// [`pull_in_parallel`]: first every key draws its pairs from its own
+    /// stream (a key per task), then every pair is transformed and
+    /// assembled (a pair per task). Keys draw exactly as
+    /// [`KeyRecipe::build`] does, so which worker runs a task does not
+    /// affect any bit; the error returned is the first in job order.
+    fn build_all(&self, jobs: Vec<(u64, BfvRng)>, threads: usize) -> Result<Vec<GaloisKey>> {
+        let drawn = pull_in_parallel(jobs, threads, |(g, mut rng)| self.draw(g, &mut rng))
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
+        let mut tasks = Vec::with_capacity(drawn.len() * self.scales.len());
+        let mut shells = Vec::with_capacity(drawn.len());
+        for (k, key) in drawn.into_iter().enumerate() {
+            for ((a, e), scale) in key.draws.into_iter().zip(&self.scales) {
+                tasks.push((k, scale, a, e));
+            }
+            shells.push((key.element, key.perm, key.s_g));
+        }
+        let mut pairs = pull_in_parallel(tasks, threads, |(k, scale, a, e)| {
+            self.assemble(&shells[k].2, scale, a, e)
+        })
+        .into_iter();
+        Ok(shells
+            .into_iter()
+            .map(|(element, perm, _)| GaloisKey {
+                element,
+                pairs: pairs.by_ref().take(self.scales.len()).collect(),
+                perm,
+            })
+            .collect())
+    }
+
+    /// One key, serially, from its own stream `rng`.
+    fn build(&self, g: u64, rng: &mut BfvRng) -> Result<GaloisKey> {
+        let key = self.draw(g, rng)?;
+        let pairs = key
+            .draws
+            .into_iter()
+            .zip(&self.scales)
+            .map(|((a, e), scale)| self.assemble(&key.s_g, scale, a, e))
+            .collect();
+        Ok(GaloisKey {
+            element: g,
+            pairs,
+            perm: key.perm,
+        })
+    }
+
+    /// Everything a key draws from its stream `rng`: per pair, a uniform
+    /// `a` then a noise `e` (in that order). Also makes `s(x^g)` in
+    /// evaluation form via the NTT-domain permutation (one permutation
+    /// table drives every limb plane).
+    fn draw(&self, g: u64, rng: &mut BfvRng) -> Result<DrawnKey> {
+        let chain = self.chain;
+        let perm = chain.table(0).try_galois_permutation(g)?;
+        let mut s_g = RnsPoly::zero(chain, Representation::Eval);
+        s_g.permute_from(&self.secret, &perm);
+        let draws = self
+            .scales
+            .iter()
+            .map(|_| {
+                let a = rng.uniform_rns(chain, Representation::Eval);
+                (a, rng.noise_rns(chain))
+            })
+            .collect();
+        Ok(DrawnKey {
+            element: g,
+            perm,
+            s_g,
+            draws,
+        })
+    }
+
+    /// One pair `(k0, a)` from its draws: `k0 = scale·s(x^g) − (a·s + e)`
+    /// assembled in a single pass per plane into `e`'s buffer after its
+    /// NTT. Every step is a canonical residue, so the result is
+    /// bit-identical to the unfused `−(a·s + e) + scale·s(x^g)` sequence
+    /// over the same draws.
+    fn assemble(
+        &self,
+        s_g: &RnsPoly,
+        scale: &[ShoupPrecomp],
+        a: RnsPoly,
+        mut k0: RnsPoly,
+    ) -> (RnsPoly, RnsPoly) {
+        let chain = self.chain;
+        k0.to_eval(chain);
+        for (k, w) in scale.iter().enumerate() {
+            let q = chain.modulus(k);
+            let planes = a.limb(k).iter().zip(self.secret.limb(k)).zip(s_g.limb(k));
+            for (e, ((&a, &s), &sg)) in k0.limb_mut(k).iter_mut().zip(planes) {
+                *e = q.sub_mod(w.mul(sg, q), q.add_mod(q.mul_mod(a, s), *e));
+            }
+        }
+        (k0, a)
+    }
+}
+
+/// A Galois key's draws before its pairs are assembled: the permutation
+/// for `x ↦ x^g`, `s(x^g)`, and per pair the uniform `a` and the noise `e`
+/// (coefficient form).
+struct DrawnKey {
+    element: u64,
+    perm: Vec<u32>,
+    s_g: RnsPoly,
+    draws: Vec<(RnsPoly, RnsPoly)>,
+}
+
+/// Maps `f` over `tasks` on the calling thread and `threads − 1` helpers
+/// and returns the results in task order. Each worker pulls the next task
+/// whenever it is free, so a worker on a slower or busier core takes fewer
+/// tasks instead of holding the others up at the join, as a fixed split
+/// would.
+fn pull_in_parallel<T: Send, R: Send>(
+    tasks: Vec<T>,
+    threads: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.clamp(1, tasks.len().max(1));
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The lock only guards `next`, which leaves the iterator valid
+            // even if another worker panicked while holding it.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((i, task)) = next else {
+                return done;
+            };
+            done.push((i, f(task)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Computes the Galois element `3^k mod 2n` realizing a left row-rotation
@@ -565,8 +750,20 @@ pub fn element_for_step(n: usize, steps: i64) -> Result<u64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+
+    /// Asserts two key sets hold the same elements with bit-identical
+    /// pairs and permutations (without printing whole polynomials).
+    fn assert_same_keys(a: &GaloisKeys, b: &GaloisKeys) {
+        assert_eq!(a.len(), b.len());
+        for g in a.elements() {
+            let (ka, kb) = (a.get(g).unwrap(), b.get(g).unwrap());
+            assert!(ka.pairs() == kb.pairs(), "pairs differ for element {g}");
+            assert_eq!(ka.permutation(), kb.permutation(), "element {g}");
+        }
+    }
 
     fn params() -> BfvParams {
         BfvParams::builder()
@@ -812,6 +1009,160 @@ mod tests {
         let mut set = GaloisKeys::default();
         set.insert(key);
         assert_eq!(set.byte_size(&p), limbs * 2 * (limbs + 1) * 4096 * 8);
+    }
+
+    #[test]
+    fn key_sets_are_bit_identical_across_thread_counts() {
+        for p in [
+            params(),
+            BfvParams::preset_rns_3x36(4096).unwrap(),
+            BfvParams::preset_hybrid_2x36(4096).unwrap(),
+        ] {
+            let elements: Vec<u64> = [1i64, 2, -1, 5]
+                .iter()
+                .map(|&s| element_for_step(p.degree(), s).unwrap())
+                .collect();
+            let generate = |threads| {
+                let mut kg = KeyGenerator::from_seed(p.clone(), 21);
+                let mut keys = GaloisKeys::default();
+                kg.generate_into(&mut keys, &elements, threads).unwrap();
+                (keys, kg.rng.next_seed())
+            };
+            let (serial, serial_next) = generate(1);
+            assert_eq!(serial.len(), elements.len());
+            for threads in [2, 3, 16] {
+                let (parallel, next) = generate(threads);
+                assert_same_keys(&parallel, &serial);
+                assert_eq!(next, serial_next, "main stream advanced differently");
+            }
+        }
+    }
+
+    #[test]
+    fn pull_in_parallel_returns_every_result_in_task_order() {
+        for threads in [1, 2, 3, 16] {
+            for count in [0usize, 1, 5, 40] {
+                // With two or more workers, tasks 0 and 1 meet at a
+                // barrier, so they run on different workers and the
+                // results are merged from more than one worker.
+                let meet = (threads > 1 && count > 1).then(|| std::sync::Barrier::new(2));
+                let out = pull_in_parallel((0..count).collect(), threads, |i| {
+                    if let Some(meet) = meet.as_ref().filter(|_| i < 2) {
+                        meet.wait();
+                    }
+                    i * 7
+                });
+                let want: Vec<usize> = (0..count).map(|i| i * 7).collect();
+                assert_eq!(out, want, "threads={threads} count={count}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_equals_sequential_galois_key_calls() {
+        for p in [params(), BfvParams::preset_hybrid_2x36(4096).unwrap()] {
+            let steps = [1i64, 3, -2];
+            let batch = KeyGenerator::from_seed(p.clone(), 22)
+                .galois_keys_for_steps(&steps)
+                .unwrap();
+            let mut kg = KeyGenerator::from_seed(p, 22);
+            let mut sequential = GaloisKeys::default();
+            for &s in &steps {
+                let g = kg.element_for_step(s).unwrap();
+                sequential.insert(kg.galois_key(g).unwrap());
+            }
+            assert_same_keys(&batch, &sequential);
+        }
+    }
+
+    #[test]
+    fn extending_a_set_matches_one_call() {
+        let p = BfvParams::preset_rns_2x30(4096).unwrap();
+        let row = p.row_size() as i64;
+        let mut kg = KeyGenerator::from_seed(p.clone(), 23);
+        let mut keys = kg.galois_keys_for_steps(&[1, 2]).unwrap();
+        // Present (2) and aliased (1 - row ≡ 1) steps draw nothing.
+        kg.extend_galois_keys(&mut keys, &[2, 4, 1 - row, 8])
+            .unwrap();
+        let whole = KeyGenerator::from_seed(p, 23)
+            .galois_keys_for_steps(&[1, 2, 4, 8])
+            .unwrap();
+        assert_same_keys(&keys, &whole);
+        // An invalid step anywhere leaves the set untouched.
+        assert!(matches!(
+            kg.extend_galois_keys(&mut keys, &[16, 0]),
+            Err(Error::InvalidRotation(0))
+        ));
+        assert_eq!(keys.len(), 4);
+    }
+
+    #[test]
+    fn fused_assembly_matches_unfused_arithmetic() {
+        // Replay each key's derived stream through the historical
+        // clone/mul/add/negate/scale/add sequence: the fused pass must
+        // land on the same bits.
+        for p in [
+            BfvParams::preset_rns_2x30(4096).unwrap(),
+            BfvParams::preset_hybrid_2x36(4096).unwrap(),
+        ] {
+            let kg = KeyGenerator::from_seed(p.clone(), 24);
+            let recipe = KeyRecipe::new(&kg);
+            let chain = recipe.chain;
+            let g = kg.element_for_step(3).unwrap();
+            let seed = 0x5eed_0001;
+            let key = recipe
+                .build(g, &mut BfvRng::from_seed(seed, p.sigma()))
+                .unwrap();
+            assert_eq!(key.pairs().len(), recipe.scales.len());
+
+            let mut s_g = RnsPoly::zero(chain, Representation::Eval);
+            s_g.permute_from(&recipe.secret, key.permutation());
+            let mut rng = BfvRng::from_seed(seed, p.sigma());
+            for ((k0, k1), scale) in key.pairs().iter().zip(&recipe.scales) {
+                let a = rng.uniform_rns(chain, Representation::Eval);
+                let mut e = rng.noise_rns(chain);
+                e.to_eval(chain);
+                let mut want = a.clone();
+                want.mul_assign_pointwise(&recipe.secret, chain).unwrap();
+                want.add_assign(&e, chain).unwrap();
+                want.negate(chain);
+                let mut scaled = s_g.clone();
+                for (k, w) in scale.iter().enumerate() {
+                    crate::poly::mul_scalar_slice(scaled.limb_mut(k), w.operand, chain.modulus(k));
+                }
+                want.add_assign(&scaled, chain).unwrap();
+                assert!(*k1 == a);
+                assert!(*k0 == want);
+            }
+        }
+    }
+
+    #[test]
+    fn key_streams_are_full_width_forks_not_64_bit_seeds() {
+        // A key's noise is secret, so its stream must not be a
+        // `seed_from_u64` stream that a 2^64 search over the public `a`
+        // could recover: pair 0's `a` comes from a 256-bit fork.
+        for p in [
+            BfvParams::preset_rns_3x36(4096).unwrap(),
+            BfvParams::preset_hybrid_2x36(4096).unwrap(),
+        ] {
+            let mut kg = KeyGenerator::from_seed(p.clone(), 25);
+            let g = kg.element_for_step(1).unwrap();
+            let key = kg.galois_key(g).unwrap();
+            let chain = KeyRecipe::new(&kg).chain;
+            let a = &key.pairs()[0].1;
+
+            let mut twin = KeyGenerator::from_seed(p.clone(), 25);
+            let forked = twin.rng.fork().uniform_rns(chain, Representation::Eval);
+            assert!(*a == forked);
+            let mut twin = KeyGenerator::from_seed(p.clone(), 25);
+            for _ in 0..4 {
+                let word = twin.rng.next_seed();
+                let narrow =
+                    BfvRng::from_seed(word, p.sigma()).uniform_rns(chain, Representation::Eval);
+                assert!(*a != narrow, "key stream is a 64-bit seed stream");
+            }
+        }
     }
 
     #[test]

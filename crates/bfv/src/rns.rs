@@ -347,9 +347,23 @@ impl RnsPoly {
     /// Lifts signed coefficients into every limb plane (coefficient form):
     /// the CRT image of the centered integer vector.
     pub fn from_signed(coeffs: &[i64], chain: &ModulusChain) -> Self {
-        Self::from_fn(chain, Representation::Coeff, |i, j| {
-            chain.modulus(i).from_signed(coeffs[j])
-        })
+        Self::from_signed_fn(chain, |j| coeffs[j])
+    }
+
+    /// Lifts the signed coefficients `f(0), f(1), …, f(n−1)` into every
+    /// limb plane (coefficient form). `f` is called once per coefficient,
+    /// in order, and each value is written straight into every plane, so a
+    /// sampler can lift its draws without an intermediate buffer.
+    pub fn from_signed_fn(chain: &ModulusChain, mut f: impl FnMut(usize) -> i64) -> Self {
+        let n = chain.degree();
+        let mut out = Self::zero(chain, Representation::Coeff);
+        for j in 0..n {
+            let v = f(j);
+            for (plane, q) in out.data.chunks_exact_mut(n).zip(chain.moduli()) {
+                plane[j] = q.from_signed(v);
+            }
+        }
+        out
     }
 
     /// Lifts small unsigned coefficients (each `< min q_i`) into every limb

@@ -125,9 +125,22 @@ impl BfvRng {
 
     /// Draws a fresh 64-bit seed from this generator's stream — the seed a
     /// seeded wire encoding ships in place of a full uniform polynomial
-    /// (the receiver re-expands it with [`expand_uniform`]).
+    /// (the receiver re-expands it with [`expand_uniform`]). Only public
+    /// uniforms may come from such a seed: anyone can search 2^64 seeds.
     pub fn next_seed(&mut self) -> u64 {
         self.rng.next_u64()
+    }
+
+    /// Splits off an independent generator with the same noise parameter,
+    /// seeded with a full-width (256-bit) seed drawn from this one's
+    /// stream. Unlike a [`BfvRng::next_seed`] stream, a fork may draw
+    /// secret noise: its seed is as hard to guess as this generator's
+    /// state.
+    pub fn fork(&mut self) -> Self {
+        Self {
+            rng: StdRng::from_rng(&mut self.rng),
+            cbd_k: self.cbd_k,
+        }
     }
 
     /// Samples a ternary polynomial with coefficients in `{-1, 0, 1}`
@@ -135,22 +148,18 @@ impl BfvRng {
     /// RLWE secret distribution over the chain. One trit is drawn per
     /// coefficient, exactly as in [`BfvRng::ternary_poly`].
     pub fn ternary_rns(&mut self, chain: &ModulusChain) -> RnsPoly {
-        let trits: Vec<i64> = (0..chain.degree())
-            .map(|_| match self.rng.random_range(0..3u8) {
-                0 => 0,
-                1 => 1,
-                _ => -1,
-            })
-            .collect();
-        RnsPoly::from_signed(&trits, chain)
+        RnsPoly::from_signed_fn(chain, |_| match self.rng.random_range(0..3u8) {
+            0 => 0,
+            1 => 1,
+            _ => -1,
+        })
     }
 
     /// Samples a CBD(k) noise polynomial lifted into every limb plane
     /// (coefficient form). One noise value is drawn per coefficient,
     /// exactly as in [`BfvRng::noise_poly`].
     pub fn noise_rns(&mut self, chain: &ModulusChain) -> RnsPoly {
-        let samples: Vec<i64> = (0..chain.degree()).map(|_| self.noise_sample()).collect();
-        RnsPoly::from_signed(&samples, chain)
+        RnsPoly::from_signed_fn(chain, |_| self.noise_sample())
     }
 }
 
@@ -242,6 +251,36 @@ mod tests {
         let (q0, q1) = (chain.modulus(0), chain.modulus(1));
         for j in 0..512 {
             assert_eq!(q0.center(s.limb(0)[j]), q1.center(s.limb(1)[j]));
+        }
+    }
+
+    #[test]
+    fn multi_limb_noise_lift_matches_signed_lift() {
+        // The buffer-free lift draws the same stream and lands on the
+        // same residues as lifting the collected samples.
+        let values = crate::arith::generate_ntt_primes(30, 512, 3).unwrap();
+        let chain = ModulusChain::new(512, &values).unwrap();
+        let mut direct = BfvRng::from_seed(11, 3.2);
+        let mut collected = BfvRng::from_seed(11, 3.2);
+        let e = direct.noise_rns(&chain);
+        let samples: Vec<i64> = (0..512).map(|_| collected.noise_sample()).collect();
+        assert_eq!(e, RnsPoly::from_signed(&samples, &chain));
+        assert_eq!(direct.next_seed(), collected.next_seed());
+    }
+
+    #[test]
+    fn fork_is_seeded_from_256_bits_of_the_stream() {
+        let mut main = BfvRng::from_seed(12, 3.2);
+        let mut twin = BfvRng::from_seed(12, 3.2);
+        let mut fork = main.fork();
+        assert_eq!(fork.cbd_k(), main.cbd_k());
+        let words: Vec<u64> = (0..4).map(|_| twin.next_seed()).collect();
+        // The fork consumed four words of the main stream...
+        assert_eq!(main.next_seed(), twin.next_seed());
+        // ...and is none of the streams a 64-bit seed among them names.
+        let first = fork.next_seed();
+        for &w in &words {
+            assert_ne!(first, BfvRng::from_seed(w, 3.2).next_seed());
         }
     }
 

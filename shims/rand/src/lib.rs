@@ -29,8 +29,21 @@ pub trait RngCore {
 
 /// Deterministically constructible generators.
 pub trait SeedableRng: Sized {
+    /// Full-width seed type (the generator's whole state space).
+    type Seed: Default + AsMut<[u8]>;
+
+    /// Builds the generator from a full-width seed.
+    fn from_seed(seed: Self::Seed) -> Self;
+
     /// Builds the generator from a 64-bit seed.
     fn seed_from_u64(state: u64) -> Self;
+
+    /// Builds the generator from a full-width seed drawn from `rng`.
+    fn from_rng(rng: &mut impl RngCore) -> Self {
+        let mut seed = Self::Seed::default();
+        rng.fill_bytes(seed.as_mut());
+        Self::from_seed(seed)
+    }
 
     /// Builds the generator from OS-ish entropy (time + ASLR noise).
     fn from_os_rng() -> Self {
@@ -117,6 +130,22 @@ pub struct StdRng {
 }
 
 impl SeedableRng for StdRng {
+    type Seed = [u8; 32];
+
+    fn from_seed(seed: [u8; 32]) -> Self {
+        let mut s = [0u64; 4];
+        for (word, bytes) in s.iter_mut().zip(seed.chunks_exact(8)) {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(bytes);
+            *word = u64::from_le_bytes(le);
+        }
+        // The all-zero state is a fixed point of xoshiro.
+        if s == [0; 4] {
+            return Self::seed_from_u64(0);
+        }
+        Self { s }
+    }
+
     fn seed_from_u64(state: u64) -> Self {
         // SplitMix64 to spread a 64-bit seed over the 256-bit state.
         let mut sm = state;
@@ -201,6 +230,26 @@ mod tests {
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "bucket count {c}");
         }
+    }
+
+    #[test]
+    fn from_rng_takes_a_full_width_seed() {
+        let mut a = StdRng::seed_from_u64(5);
+        let mut b = StdRng::seed_from_u64(5);
+        let mut forked = StdRng::from_rng(&mut a);
+        let words = [b.next_u64(), b.next_u64(), b.next_u64(), b.next_u64()];
+        // The fork consumed exactly four words and its state is them.
+        assert_eq!(a.next_u64(), b.next_u64());
+        let mut seed = [0u8; 32];
+        for (chunk, w) in seed.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&w.to_le_bytes());
+        }
+        let mut direct = StdRng::from_seed(seed);
+        for _ in 0..16 {
+            assert_eq!(forked.next_u64(), direct.next_u64());
+        }
+        // The zero seed maps to a working generator.
+        assert_ne!(StdRng::from_seed([0; 32]).next_u64(), 0);
     }
 
     #[test]
