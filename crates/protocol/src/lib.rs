@@ -11,6 +11,14 @@
 //! (§II-B). As in the paper, layer counts and shapes leak to the client;
 //! weight *values* do not.
 //!
+//! The protocol round is implemented once, in [`session`], as two halves
+//! that meet at the wire boundary: [`ClientSession`] (secret key, uploads,
+//! gated decryption, the simulated garbled circuit) and [`ServerSession`]
+//! (Galois keys, unmask, level planning, the HE layer, re-masking, the
+//! transcript). [`PrivateInferenceSession`] composes them in one process;
+//! `cheetah-serve` schedules many pairs of them concurrently against one
+//! shared [`PreparedModel`].
+//!
 //! Although the parties are honest but curious, the *transport* is not
 //! assumed reliable: every ciphertext and key crosses the boundary
 //! through `cheetah_bfv::wire`'s validated encoding, and the
@@ -24,6 +32,8 @@ pub mod session;
 pub mod transcript;
 
 pub use faults::{classify_ciphertext_fault, Corruption, FaultInjector, FaultOutcome};
-pub use prepared::PreparedLayers;
-pub use session::{LayerReport, PrivateInferenceSession};
+pub use prepared::{PreparedLayers, PreparedModel};
+pub use session::{
+    ClientSession, ClientSetup, LayerDownload, LayerReport, PrivateInferenceSession, ServerSession,
+};
 pub use transcript::{Direction, Transcript};

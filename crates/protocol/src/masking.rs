@@ -1,8 +1,9 @@
-//! Client-side protocol arithmetic shared by the one-party
+//! Client-side protocol arithmetic of the client half,
+//! [`crate::session::ClientSession`] — which the one-party
 //! [`crate::session::PrivateInferenceSession`] and the concurrent serving
-//! layer (`cheetah-serve`): the mod-`t` mask ring operations the simulated
-//! garbled circuit computes, and the measured-noise decrypt gate every
-//! client applies before trusting a download.
+//! layer (`cheetah-serve`) both run: the mod-`t` mask ring operations the
+//! simulated garbled circuit computes, and the measured-noise decrypt gate
+//! every client applies before trusting a download.
 
 use cheetah_bfv::{BatchEncoder, Ciphertext, Decryptor, Error, Result};
 use cheetah_nn::Tensor;

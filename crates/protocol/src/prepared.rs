@@ -4,17 +4,20 @@
 //! linear layer's weights are packed into prepared plaintexts, BSGS /
 //! reduce plans are chosen, and the union of rotation steps the plans
 //! need is computed. None of that depends on a client — so it is built
-//! **once** into a [`PreparedLayers`] and shared (behind an
-//! `Arc<PreparedLayers>`) across every concurrent session the serving
-//! layer runs. Everything here is read-only after construction: the
-//! struct owns no `RefCell`/`Mutex` and every method takes `&self`, so
-//! sharing is lock-free by construction.
+//! **once** into a [`PreparedLayers`]. Everything here is read-only after
+//! construction: the struct owns no `RefCell`/`Mutex` and every method
+//! takes `&self`, so sharing is lock-free by construction.
 //!
-//! What stays *per client* lives in
-//! [`crate::session::PrivateInferenceSession`] (and in `cheetah-serve`'s
-//! session halves): secret/Galois keys, encryptors, mask RNG streams,
-//! scratch space, and transcripts.
+//! [`PreparedModel`] is the shared handle: an `Arc<PreparedModel>` is what
+//! the protocol's session halves ([`crate::session::ClientSession`],
+//! [`crate::session::ServerSession`]), the one-party
+//! [`crate::session::PrivateInferenceSession`] and `cheetah-serve`'s
+//! worker pool hold. What stays *per client* lives in the halves:
+//! secret/Galois keys, encryptors, mask RNG streams, and transcripts.
 
+use std::sync::Arc;
+
+use cheetah_bfv::keys::element_for_step;
 use cheetah_bfv::{
     BatchEncoder, BfvParams, Ciphertext, Error, Evaluator, GaloisKeys, NoiseEstimate, Plaintext,
     Result,
@@ -198,10 +201,9 @@ fn apply_nonlinear(layers: &[Layer], input: &Tensor) -> Result<Tensor> {
 /// Everything about a model that is client-independent, prepared once:
 /// packed weight plaintexts, BSGS/reduce/level plans, the nonlinear
 /// bundle structure, and the union of rotation steps clients must bring
-/// Galois keys for. Immutable after construction — share it behind an
-/// `Arc` across any number of concurrent sessions.
+/// Galois keys for. Immutable after construction — share it as an
+/// `Arc<PreparedModel>` across any number of concurrent sessions.
 pub struct PreparedLayers {
-    net: Network,
     params: BfvParams,
     encoder: BatchEncoder,
     evaluator: Evaluator,
@@ -212,10 +214,11 @@ pub struct PreparedLayers {
     /// Nonlinear bundle *after* each linear layer, up to the next linear
     /// layer (or the end of the network).
     bundles: Vec<Vec<Layer>>,
+    /// `bundle_shapes[k]`: output shape of bundle `k` — the shape of the
+    /// next round's client-side mask.
+    bundle_shapes: Vec<Vec<usize>>,
     /// Sorted, deduplicated union of every layer plan's rotation steps.
     steps: Vec<i64>,
-    /// The parameter-chain fingerprint every client message must carry.
-    fingerprint: u64,
     /// Solver-planned level per linear layer (HE-PTune v2's
     /// [`ChainPlan`]); the runtime level planner never goes *deeper* than
     /// this ceiling, so the engine's measured noise can only tighten the
@@ -224,13 +227,15 @@ pub struct PreparedLayers {
 }
 
 impl PreparedLayers {
-    /// Prepares every linear layer of `net` under the given schedule and
-    /// splits the network into leading / per-layer nonlinear bundles.
+    /// Prepares every linear layer of `net` under the given schedule,
+    /// splits the network into leading / per-layer nonlinear bundles, and
+    /// dry-runs each bundle on zeros to record its output shape.
     ///
     /// # Errors
     ///
     /// Propagates BFV errors; fails when a layer does not fit the packing
-    /// constraints of [`HomConv2d`] / [`HomFc`].
+    /// constraints of [`HomConv2d`] / [`HomFc`]. Residual networks are
+    /// rejected here (at prepare time) rather than at the first session.
     pub fn new(
         net: &Network,
         weights: &Weights,
@@ -298,18 +303,24 @@ impl PreparedLayers {
         let mut steps: Vec<i64> = layers.iter().flat_map(HomLayer::rotation_steps).collect();
         steps.sort_unstable();
         steps.dedup();
-        let fingerprint = cheetah_bfv::chain_fingerprint(&params);
+        let bundle_shapes = layers
+            .iter()
+            .zip(&bundles)
+            .map(|(layer, bundle)| {
+                let zeros = Tensor::zeros(&layer.output_shape());
+                Ok(apply_nonlinear(bundle, &zeros)?.shape().to_vec())
+            })
+            .collect::<Result<Vec<_>>>()?;
 
         Ok(Self {
-            net: net.clone(),
             params,
             encoder,
             evaluator,
             layers,
             leading,
             bundles,
+            bundle_shapes,
             steps,
-            fingerprint,
             planned_levels: None,
         })
     }
@@ -354,13 +365,8 @@ impl PreparedLayers {
         self.planned_levels.as_deref()
     }
 
-    /// The network being served.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
-    /// The parameter set every client must match (see
-    /// [`PreparedLayers::fingerprint`]).
+    /// The parameter set every client must match: every wire message
+    /// carries its chain fingerprint and is validated against it.
     pub fn params(&self) -> &BfvParams {
         &self.params
     }
@@ -387,24 +393,28 @@ impl PreparedLayers {
         &self.steps
     }
 
-    /// FNV-1a fingerprint of the parameter chain
-    /// ([`cheetah_bfv::chain_fingerprint`]); every wire message from a
-    /// client is validated against it before any arithmetic.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// Checks that a client's Galois key set covers every step the
-    /// prepared plans rotate by.
+    /// Checks that a client's Galois key set is exactly the one the
+    /// prepared plans rotate by: every planned step is covered and no
+    /// other element is carried (an extra key only costs server memory).
     ///
     /// # Errors
     ///
-    /// [`Error::MissingGaloisKey`] naming the first uncovered step.
+    /// [`Error::MissingGaloisKey`] naming the first uncovered step;
+    /// [`Error::Malformed`] naming an element no plan step needs.
     pub fn check_key_coverage(&self, keys: &GaloisKeys) -> Result<()> {
+        let n = self.params.degree();
+        let mut planned = Vec::with_capacity(self.steps.len());
         for &step in &self.steps {
-            keys.get_for_step(self.params.degree(), step)?;
+            keys.get_for_step(n, step)?;
+            planned.push(element_for_step(n, step)?);
         }
-        Ok(())
+        match keys.elements().find(|g| !planned.contains(g)) {
+            Some(extra) => Err(Error::Malformed {
+                what: "galois key set",
+                reason: format!("carries a key for element {extra}, which no plan step uses"),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Runs the leading nonlinear layers (before the first linear layer)
@@ -429,15 +439,9 @@ impl PreparedLayers {
     }
 
     /// Shape of linear layer `k`'s *bundle* output (what the next round's
-    /// masks must cover), derived by a zero-tensor dry run — cheap, done
-    /// once per server at prepare time.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Unsupported`] for residual networks.
-    pub fn bundle_output_shape(&self, k: usize) -> Result<Vec<usize>> {
-        let zeros = Tensor::zeros(&self.output_shape(k));
-        Ok(self.apply_bundle(k, &zeros)?.shape().to_vec())
+    /// masks must cover), recorded at prepare time.
+    pub fn bundle_shape(&self, k: usize) -> &[usize] {
+        &self.bundle_shapes[k]
     }
 
     /// Human-readable rotation-plan label of linear layer `k`.
@@ -511,5 +515,75 @@ impl PreparedLayers {
     /// Propagates encoding errors.
     pub fn pack_output_mask(&self, k: usize, mask: &Tensor) -> Result<Vec<Plaintext>> {
         self.layers[k].pack_output_mask(mask, &self.encoder)
+    }
+}
+
+/// The shared, immutable prepared model every session half and server
+/// pool holds behind an `Arc`: a [`PreparedLayers`] with the constructors
+/// that hand it out shared.
+///
+/// Immutability contract: everything is written once in
+/// [`PreparedModel::prepare`] and only ever read afterwards — all methods
+/// take `&self` and there is no interior mutability. That is what makes
+/// concurrent session sweeps lock-free on the model side.
+pub struct PreparedModel {
+    layers: PreparedLayers,
+}
+
+impl PreparedModel {
+    /// Prepares a network once for any number of sessions (see
+    /// [`PreparedLayers::new`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedLayers::new`].
+    pub fn prepare(
+        net: &Network,
+        weights: &Weights,
+        params: BfvParams,
+        schedule: Schedule,
+    ) -> Result<Arc<Self>> {
+        let layers = PreparedLayers::new(net, weights, params, schedule)?;
+        Ok(Arc::new(Self { layers }))
+    }
+
+    /// Prepares a network from a solver-produced [`ChainPlan`] (HE-PTune
+    /// v2): see [`PreparedLayers::from_chain_plan`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PreparedLayers::from_chain_plan`].
+    pub fn prepare_with_plan(
+        net: &Network,
+        weights: &Weights,
+        plan: &ChainPlan,
+    ) -> Result<Arc<Self>> {
+        let layers = PreparedLayers::from_chain_plan(net, weights, plan)?;
+        Ok(Arc::new(Self { layers }))
+    }
+
+    /// The prepared layers (plans, packed plaintexts, evaluator).
+    pub fn layers(&self) -> &PreparedLayers {
+        &self.layers
+    }
+
+    /// The parameter set every client of this model must match.
+    pub fn params(&self) -> &BfvParams {
+        self.layers.params()
+    }
+
+    /// Output shape of linear layer `k`'s nonlinear bundle.
+    pub fn bundle_shape(&self, k: usize) -> &[usize] {
+        self.layers.bundle_shape(k)
+    }
+
+    /// Number of prepared linear layers.
+    pub fn linear_count(&self) -> usize {
+        self.layers.linear_count()
+    }
+
+    /// The rotation steps a client must bring Galois keys for.
+    pub fn required_steps(&self) -> &[i64] {
+        self.layers.required_steps()
     }
 }

@@ -17,7 +17,7 @@ use cheetah_core::{QuantSpec, Schedule};
 use cheetah_nn::inference::{infer, random_input};
 use cheetah_nn::models::tiny_cnn;
 use cheetah_nn::Weights;
-use cheetah_protocol::{PreparedLayers, PrivateInferenceSession};
+use cheetah_protocol::{PreparedLayers, PreparedModel, PrivateInferenceSession};
 
 fn tiny_cnn_plan(schedule: Schedule) -> ChainPlan {
     // The engine guards every operation with its *worst-case* tracked
@@ -46,10 +46,9 @@ fn solved_chain_plan_drives_a_session_end_to_end() {
     let plan = tiny_cnn_plan(Schedule::PartialAligned);
     assert_eq!(plan.layers.len(), net.linear_layers().len());
 
-    let prepared =
-        Arc::new(PreparedLayers::from_chain_plan(&net, &weights, &plan).expect("prepare"));
+    let prepared = PreparedModel::prepare_with_plan(&net, &weights, &plan).expect("prepare");
     assert_eq!(
-        prepared.planned_levels(),
+        prepared.layers().planned_levels(),
         Some(plan.levels().as_slice()),
         "the solver's levels must reach the prepared model"
     );
@@ -79,8 +78,7 @@ fn solved_plans_agree_across_schedules() {
     let mut outputs = Vec::new();
     for schedule in [Schedule::PartialAligned, Schedule::InputAligned] {
         let plan = tiny_cnn_plan(schedule);
-        let prepared =
-            Arc::new(PreparedLayers::from_chain_plan(&net, &weights, &plan).expect("prepare"));
+        let prepared = PreparedModel::prepare_with_plan(&net, &weights, &plan).expect("prepare");
         let mut session =
             PrivateInferenceSession::with_prepared(Arc::clone(&prepared), 31).unwrap();
         let (output, _) = session.run(&input).unwrap();

@@ -1,22 +1,21 @@
 //! # cheetah-serve — concurrent private-inference serving
 //!
-//! The one-party [`cheetah_protocol::PrivateInferenceSession`] proves the
-//! protocol; this crate runs it at *throughput*: many concurrent client
-//! sessions against **one** prepared model.
+//! `cheetah-protocol` implements the protocol round once, as a
+//! [`ClientSession`] / [`ServerSession`] pair over a shared
+//! [`PreparedModel`] (its one-party `PrivateInferenceSession` composes one
+//! pair in-process). This crate only *schedules* those halves: many
+//! concurrent client sessions against **one** prepared model. The moved
+//! types are re-exported here under their former paths.
 //!
 //! The architecture follows three invariants (see `docs/SERVE.md`):
 //!
-//! * **Shared immutable preparation** — a [`PreparedModel`] wraps the
-//!   protocol crate's `Arc<PreparedLayers>` (packed weight plaintexts,
-//!   BSGS / reduce / level plans, the rotation-step union) plus
-//!   precomputed nonlinear bundle output shapes. It is built once and
-//!   shared lock-free: nothing in it is mutated after construction.
-//! * **Per-client session halves** — [`ClientSession`] owns the secret
-//!   key, encryptors, and activation state; [`ServerSession`] owns the
-//!   client's Galois keys, the mask RNG stream, the transcript, and the
-//!   per-layer reports. A [`SessionDriver`] steps the two halves through
-//!   the wire-validated protocol boundary — every ciphertext crosses as
-//!   validated bytes, never as a live object.
+//! * **Shared immutable preparation** — an `Arc<PreparedModel>` (packed
+//!   weight plaintexts, BSGS / reduce / level plans, the rotation-step
+//!   union, the nonlinear bundle output shapes) is built once and shared
+//!   lock-free: nothing in it is mutated after construction.
+//! * **Per-client session halves** — a [`SessionDriver`] steps one
+//!   client's two halves through the wire-validated protocol boundary —
+//!   every ciphertext crosses as validated bytes, never as a live object.
 //! * **Batched sweeps over pooled scratch** — [`ServerPool`] coalesces
 //!   same-layer work from different clients into one parallel sweep over
 //!   `crossbeam::scope` workers, each holding a leased
@@ -31,9 +30,13 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod model;
 pub mod pool;
 pub mod session;
+
+/// The shared prepared model, defined in `cheetah-protocol`.
+pub mod model {
+    pub use cheetah_protocol::PreparedModel;
+}
 
 pub use model::PreparedModel;
 pub use pool::{ServerPool, SessionOutcome};

@@ -20,9 +20,8 @@ use std::sync::{Arc, Mutex};
 
 use cheetah_bfv::{Result, ScratchPool};
 use cheetah_nn::Tensor;
-use cheetah_protocol::{LayerReport, Transcript};
+use cheetah_protocol::{LayerReport, PreparedModel, Transcript};
 
-use crate::model::PreparedModel;
 use crate::session::SessionDriver;
 
 /// Terminal state of one served session.

@@ -12,7 +12,9 @@
 //! * a faulted client (upload corrupted in flight by the fault injector)
 //!   dies with a typed error and a fault-bearing report while its
 //!   neighbors' outputs and transcripts stay bit-identical to a clean
-//!   run.
+//!   run;
+//! * a network with no linear layer returns the cleartext output and the
+//!   same setup-only transcript through both paths.
 
 use std::sync::Arc;
 
@@ -20,7 +22,7 @@ use cheetah_bfv::BfvParams;
 use cheetah_core::Schedule;
 use cheetah_nn::inference::{client_inputs, infer};
 use cheetah_nn::models::tiny_cnn;
-use cheetah_nn::Weights;
+use cheetah_nn::{Layer, Network, Weights};
 use cheetah_protocol::faults::{Corruption, FaultInjector};
 use cheetah_protocol::{PrivateInferenceSession, Transcript};
 use cheetah_serve::{PreparedModel, ServerPool, SessionDriver};
@@ -313,5 +315,45 @@ fn faulted_client_does_not_perturb_neighbors() {
                 "client {i}: neighbor transcript perturbed by a faulted peer"
             );
         }
+    }
+}
+
+#[test]
+fn all_nonlinear_network_matches_between_one_party_and_served() {
+    // No linear layer: the client's leading nonlinear layers are the
+    // whole inference. Both paths return the cleartext output, and both
+    // record the same transcript — the setup message and nothing else.
+    let net = Network {
+        name: "relu-flatten".to_string(),
+        input_shape: vec![2, 4, 4],
+        layers: vec![Layer::Relu, Layer::Flatten],
+    };
+    let weights = Weights::random(&net, 2, 424);
+    let inputs = client_inputs(&net.input_shape, 3, 7100, CLIENTS);
+    let (_, params) = preset_chains().swap_remove(0);
+    let model = PreparedModel::prepare(&net, &weights, params, Schedule::PartialAligned).unwrap();
+    assert_eq!(model.linear_count(), 0);
+
+    let served = ServerPool::new(Arc::clone(&model), CLIENTS).run(drivers(&model, &inputs));
+    assert_eq!(served.len(), CLIENTS);
+    for (i, s) in served.iter().enumerate() {
+        let expect = infer(&net, &weights, &inputs[i]).output;
+        let mut one_party =
+            PrivateInferenceSession::with_prepared(Arc::clone(&model), BASE_SEED + i as u64)
+                .unwrap();
+        let (out, transcript) = one_party.run(&inputs[i]).unwrap();
+        assert_eq!(out.data(), expect.data(), "client {i}: one-party output");
+        assert_eq!(
+            s.result.as_ref().unwrap().data(),
+            expect.data(),
+            "client {i}: served output"
+        );
+        assert_eq!(
+            transcript_sig(&s.transcript),
+            transcript_sig(&transcript),
+            "client {i}: served != one-party transcript"
+        );
+        let labels: Vec<_> = transcript.messages().iter().map(|m| &m.label).collect();
+        assert_eq!(labels, ["setup: pk + galois keys"], "client {i}");
     }
 }

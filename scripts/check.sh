@@ -145,8 +145,8 @@ if [[ "${1:-}" != "quick" ]]; then
     fi
 fi
 
-echo "==> panic-lint: wire/keys/fault/serve modules deny unwrap/expect; protocol and serve are panic-free"
-for f in crates/bfv/src/wire.rs crates/bfv/src/keys.rs crates/protocol/src/faults.rs crates/serve/src/lib.rs; do
+echo "==> panic-lint: wire/keys/fault/session/serve modules deny unwrap/expect; protocol and serve are panic-free"
+for f in crates/bfv/src/wire.rs crates/bfv/src/keys.rs crates/protocol/src/faults.rs crates/protocol/src/session.rs crates/serve/src/lib.rs; do
     if ! grep -q '#!\[deny(clippy::unwrap_used, clippy::expect_used)\]' "$f"; then
         echo "FAIL: $f lost its #![deny(clippy::unwrap_used, clippy::expect_used)] attribute"
         exit 1

@@ -190,7 +190,7 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
     // pruned weights bit-exactly — on every preset chain.
     use std::sync::Arc;
 
-    use cheetah::protocol::PreparedLayers;
+    use cheetah::protocol::{PreparedLayers, PreparedModel};
 
     let net = tiny_cnn();
     let mut weights = Weights::random(&net, 2, 2024);
@@ -206,15 +206,15 @@ fn pruned_tiny_cnn_runs_sparse_plans_with_fewer_keys_and_stays_exact() {
                 .required_steps()
                 .len()
         };
-        let prepared = Arc::new(
-            PreparedLayers::new(&net, &weights, params.clone(), Schedule::PartialAligned).unwrap(),
-        );
+        let prepared =
+            PreparedModel::prepare(&net, &weights, params.clone(), Schedule::PartialAligned)
+                .unwrap();
         assert!(
             prepared.required_steps().len() < dense_steps,
             "{name}: sparse keygen must shrink ({} vs dense {dense_steps})",
             prepared.required_steps().len()
         );
-        let fc_plans: Vec<String> = (1..3).map(|k| prepared.plan_label(k)).collect();
+        let fc_plans: Vec<String> = (1..3).map(|k| prepared.layers().plan_label(k)).collect();
         assert!(
             fc_plans.iter().any(|p| p.contains("sparse")),
             "{name}: pruned FC layers should carry sparse plans, got {fc_plans:?}"
